@@ -27,7 +27,7 @@ use hdx_serve::{
     load_bundle, save_bundle, task_code, train_artifacts, train_artifacts_from, Router,
     RouterConfig,
 };
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -374,17 +374,19 @@ fn cmd_oneshot(args: &[String]) -> Result<(), String> {
     }
     init_trace_flag(&flags);
     let router = load_router(&flags)?;
-    let stdout = std::io::stdout();
+    // Stdout is line-buffered; the connection loop flushes once per
+    // read instead.
+    let stdout = BufWriter::new(std::io::stdout().lock());
     match flags.get("requests") {
         Some(path) => {
             let file = std::fs::File::open(path)
                 .map_err(|e| format!("cannot open requests file {path}: {e}"))?;
             router
-                .serve_connection(BufReader::new(file), stdout.lock())
+                .serve_connection(BufReader::new(file), stdout)
                 .map_err(|e| e.to_string())
         }
         None => router
-            .serve_connection(std::io::stdin().lock(), stdout.lock())
+            .serve_connection(std::io::stdin().lock(), stdout)
             .map_err(|e| e.to_string()),
     }
 }
@@ -410,7 +412,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         None => {
             eprintln!("serving on stdin/stdout (send request lines; EOF flushes the batch)");
             router
-                .serve_connection(std::io::stdin().lock(), std::io::stdout().lock())
+                .serve_connection(
+                    std::io::stdin().lock(),
+                    BufWriter::new(std::io::stdout().lock()),
+                )
                 .map_err(|e| e.to_string())
         }
     }

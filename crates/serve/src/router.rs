@@ -42,7 +42,7 @@ use hdx_core::{PreparedContext, Task};
 use hdx_tensor::ckpt::CkptError;
 use hdx_tensor::SessionBank;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -444,240 +444,79 @@ impl Router {
     /// Version negotiation is per line ([`v1::sniff`]): v0 lines are
     /// answered in v0 framing, v1 lines in v1 framing, on the same
     /// connection. Consecutive search-type lines accumulate into one
-    /// batch that is flushed — fanned across the worker pool, reports
+    /// batch that runs — fanned across the worker pool, reports
     /// written in request order, each in its request's framing — when a
     /// control line (`stats`, `ping`, a registry verb, a malformed
     /// line) or EOF arrives. A client that writes N requests and shuts
     /// down its write side therefore gets all N reports with full
     /// parallelism.
     ///
+    /// # Write coalescing
+    ///
+    /// Answers are written without a flush of their own. The loop takes
+    /// what one read returned, answers every complete line in it, and
+    /// flushes `writer` once before the next read that may block (and
+    /// before returning), so a pipelined window leaves in one write
+    /// when `writer` buffers ([`Router::serve_tcp`] passes a
+    /// [`BufWriter`]). A partial line carries over to the next read;
+    /// line ends are stripped exactly as [`BufRead::lines`] strips them.
+    ///
     /// # Errors
     ///
     /// Propagates reader/writer I/O errors; protocol-level problems
-    /// are reported in-band as `error …` lines.
+    /// are reported in-band as `error …` lines. A line that is not
+    /// UTF-8 ends the connection with [`io::ErrorKind::InvalidData`]
+    /// once the answers to every earlier line are flushed; a search
+    /// batch still pending then is dropped, as on any read error.
     pub fn serve_connection<R: BufRead, W: Write>(
         &self,
-        reader: R,
-        mut writer: W,
-    ) -> std::io::Result<()> {
+        mut reader: R,
+        writer: W,
+    ) -> io::Result<()> {
         let _conn_span = hdx_obs::span("router.connection");
-        // Each pending job remembers its framing so its report is
-        // encoded the way the request arrived.
-        let mut pending: Vec<(bool, SearchRequest)> = Vec::new();
-        let flush_batch = |pending: &mut Vec<(bool, SearchRequest)>,
-                           writer: &mut W|
-         -> std::io::Result<()> {
-            if pending.is_empty() {
-                return Ok(());
+        let mut conn = Connection {
+            router: self,
+            writer,
+            pending: Vec::new(),
+            seen: 0,
+        };
+        let mut partial: Vec<u8> = Vec::new();
+        loop {
+            // Everything answered since the last read leaves now: the
+            // read below may block until the client sends more, and it
+            // may be waiting for these answers first.
+            conn.writer.flush()?;
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                // EOF; an unterminated last line is still a line.
+                if partial.is_empty() || conn.answer_bytes(&partial)? {
+                    conn.run_pending()?;
+                }
+                return conn.writer.flush();
             }
-            let _span = hdx_obs::span("router.flush");
-            // Expansion order matches request order, so zip the
-            // per-request framing over the expanded outcome list (a
-            // request expands to one job per grid entry).
-            let framings: Vec<bool> = pending
-                .iter()
-                .flat_map(|(is_v1, req)| std::iter::repeat_n(*is_v1, req.lambda_grid.len().max(1)))
-                .collect();
-            let requests: Vec<SearchRequest> = pending.iter().map(|(_, req)| req.clone()).collect();
-            for (is_v1, outcome) in framings
-                .into_iter()
-                .zip(self.run_batch(&requests, self.cfg.jobs))
-            {
-                let line = match (is_v1, outcome) {
-                    (false, Ok(report)) => report.encode(),
-                    (false, Err(err)) => err.encode(),
-                    (true, Ok(report)) => report.encode_v1(),
-                    (true, Err(err)) => err.encode_v1(),
+            let read = chunk.len();
+            let mut rest = chunk;
+            while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+                let line = if partial.is_empty() {
+                    &rest[..nl]
+                } else {
+                    partial.extend_from_slice(&rest[..nl]);
+                    &partial[..]
                 };
-                writeln!(writer, "{line}")?;
-            }
-            pending.clear();
-            writer.flush()
-        };
-        // Control responses are computed *after* the pending batch
-        // flushes (hence the thunk): stats must see the flushed jobs'
-        // counters, and registry mutations (load/unload) must not
-        // retroactively change how already-queued work routes.
-        let respond = |pending: &mut Vec<(bool, SearchRequest)>,
-                       writer: &mut W,
-                       make: &mut dyn FnMut() -> String|
-         -> std::io::Result<()> {
-            flush_batch(pending, writer)?;
-            let line = make();
-            writeln!(writer, "{line}")?;
-            writer.flush()
-        };
-
-        let mut seen: u64 = 0;
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let framing = v1::sniff(&line);
-            seen += 1;
-            if let Some(limit) = self.cfg.max_requests_per_conn {
-                if seen > limit {
-                    // The overflowing request is answered in-band (in
-                    // its own framing) and the connection closes; the
-                    // work already accepted still flushes first.
-                    let err = ProtoError::new(0, ErrorKind::QuotaExceeded { limit });
-                    let encoded = match framing {
-                        v1::Framing::V0 => err.encode(),
-                        _ => err.encode_v1(),
-                    };
-                    respond(&mut pending, &mut writer, &mut || encoded.clone())?;
-                    return Ok(());
+                let open = conn.answer_bytes(line.strip_suffix(b"\r").unwrap_or(line))?;
+                if !open {
+                    return conn.writer.flush();
                 }
+                partial.clear();
+                rest = &rest[nl + 1..];
             }
-            match framing {
-                v1::Framing::Unsupported { token, offset } => {
-                    OBS_PROTO_ERRORS.incr();
-                    let err = ProtoError::new(0, ErrorKind::VersionMismatch { token, offset });
-                    respond(&mut pending, &mut writer, &mut || err.encode_v1())?;
-                }
-                v1::Framing::V0 => match parse_request(&line) {
-                    Ok(Request::Search(req)) => {
-                        OBS_VERB_SEARCH.incr();
-                        pending.push((false, *req));
-                    }
-                    Ok(Request::Stats) => {
-                        OBS_VERB_STATS.incr();
-                        respond(&mut pending, &mut writer, &mut || self.stats_line_v0())?;
-                    }
-                    Ok(Request::Ping) => {
-                        OBS_VERB_PING.incr();
-                        respond(&mut pending, &mut writer, &mut || "pong".to_owned())?;
-                    }
-                    Err(err) => {
-                        OBS_PROTO_ERRORS.incr();
-                        respond(&mut pending, &mut writer, &mut || err.encode())?;
-                    }
-                },
-                v1::Framing::V1 => match v1::decode_request(&line) {
-                    Ok(env) => {
-                        let id = env.request_id;
-                        let reply = |body: v1::ResponseBody| {
-                            v1::encode_response(&v1::Envelope::v1(id, body))
-                        };
-                        match env.body {
-                            v1::RequestBody::Search(req) => {
-                                OBS_VERB_SEARCH.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Grid(req) => {
-                                OBS_VERB_GRID.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Meta(req) => {
-                                OBS_VERB_META.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Resume(req) => {
-                                OBS_VERB_RESUME.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Stats => {
-                                OBS_VERB_STATS.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Stats(self.stats()))
-                                })?;
-                            }
-                            v1::RequestBody::Ping => {
-                                OBS_VERB_PING.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Pong)
-                                })?;
-                            }
-                            v1::RequestBody::ListTasks => {
-                                OBS_VERB_LIST_TASKS.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Tasks(self.tasks()))
-                                })?;
-                            }
-                            v1::RequestBody::Metrics => {
-                                OBS_VERB_METRICS.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Metrics(hdx_obs::snapshot()))
-                                })?;
-                            }
-                            v1::RequestBody::LoadBundle { path } => {
-                                OBS_VERB_LOAD_BUNDLE.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.load_bundle_ref(&path) {
-                                        Ok(entry) => v1::ResponseBody::Loaded(entry),
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::CatalogList => {
-                                OBS_VERB_CATALOG_LIST.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.catalog_entries() {
-                                        Ok(entries) => v1::ResponseBody::Catalog(entries),
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::CatalogPin { fingerprint, on } => {
-                                OBS_VERB_CATALOG_PIN.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.with_catalog(|c| c.pin(fingerprint, on)) {
-                                        Ok(_) => v1::ResponseBody::Pinned { fingerprint, on },
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::CatalogEvict { fingerprint } => {
-                                OBS_VERB_CATALOG_EVICT.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.with_catalog(|c| c.evict(fingerprint)) {
-                                        Ok(freed) => {
-                                            v1::ResponseBody::Evicted { fingerprint, freed }
-                                        }
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::UnloadBundle { task, bundle_seed } => {
-                                OBS_VERB_UNLOAD_BUNDLE.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = if self.unload(task, bundle_seed) {
-                                        v1::ResponseBody::Unloaded { task, bundle_seed }
-                                    } else {
-                                        v1::ResponseBody::Error(ProtoError::new(
-                                            id,
-                                            ErrorKind::TaskUnavailable {
-                                                task: task_label(task).to_owned(),
-                                                bundle_seed: Some(bundle_seed),
-                                            },
-                                        ))
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        OBS_PROTO_ERRORS.incr();
-                        respond(&mut pending, &mut writer, &mut || err.encode_v1())?;
-                    }
-                },
-            }
+            partial.extend_from_slice(rest);
+            reader.consume(read);
         }
-        flush_batch(&mut pending, &mut writer)
     }
 
     /// Accept loop: serves each TCP connection with
@@ -686,23 +525,250 @@ impl Router {
     /// fails (i.e. effectively forever); intended for the
     /// `hdx-serve serve --tcp` subcommand.
     ///
+    /// Every accepted socket sets `TCP_NODELAY`: the connection loop
+    /// already coalesces a read's answers into one write, and Nagle's
+    /// algorithm would otherwise hold that write's tail until the
+    /// client's delayed ACK (~40 ms per response on Linux).
+    ///
     /// # Errors
     ///
     /// Propagates listener accept errors.
-    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
+    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
         for stream in listener.incoming() {
             let stream = stream?;
             let router = Arc::clone(self);
             std::thread::spawn(move || {
-                let reader = BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                });
                 // Connection-level I/O errors just end the connection.
-                let _ = router.serve_connection(reader, stream);
+                let Ok(read_half) = stream.set_nodelay(true).and_then(|()| stream.try_clone())
+                else {
+                    return;
+                };
+                let _ = router.serve_connection(BufReader::new(read_half), BufWriter::new(stream));
             });
         }
         Ok(())
+    }
+}
+
+/// One connection's state: the batch of search-type requests waiting
+/// for a control line or EOF, and the request-quota count.
+struct Connection<'r, W> {
+    router: &'r Router,
+    writer: W,
+    /// Each pending job remembers its framing (`true` = v1) so its
+    /// report is encoded the way the request arrived.
+    pending: Vec<(bool, SearchRequest)>,
+    /// Non-blank lines read so far (the quota counts these).
+    seen: u64,
+}
+
+impl<W: Write> Connection<'_, W> {
+    /// Runs the pending batch and writes its reports in request order,
+    /// each in its request's framing.
+    fn run_pending(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let _span = hdx_obs::span("router.flush");
+        // Expansion order matches request order, so zip the
+        // per-request framing over the expanded outcome list (a
+        // request expands to one job per grid entry).
+        let framings: Vec<bool> = self
+            .pending
+            .iter()
+            .flat_map(|(is_v1, req)| std::iter::repeat_n(*is_v1, req.lambda_grid.len().max(1)))
+            .collect();
+        let requests: Vec<SearchRequest> =
+            self.pending.iter().map(|(_, req)| req.clone()).collect();
+        let router = self.router;
+        for (is_v1, outcome) in framings
+            .into_iter()
+            .zip(router.run_batch(&requests, router.cfg.jobs))
+        {
+            let line = match (is_v1, outcome) {
+                (false, Ok(report)) => report.encode(),
+                (false, Err(err)) => err.encode(),
+                (true, Ok(report)) => report.encode_v1(),
+                (true, Err(err)) => err.encode_v1(),
+            };
+            writeln!(self.writer, "{line}")?;
+        }
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// Writes a control line's answer. It is computed *after* the
+    /// pending batch runs (hence the thunk): stats must see the batch's
+    /// counters, and registry mutations (load/unload) must not
+    /// retroactively change how already-queued work routes.
+    fn respond(&mut self, make: impl FnOnce() -> String) -> io::Result<()> {
+        self.run_pending()?;
+        let line = make();
+        writeln!(self.writer, "{line}")
+    }
+
+    /// [`Connection::answer`] for a raw line. A line that is not UTF-8
+    /// ends the connection, after the answers already written are
+    /// flushed.
+    fn answer_bytes(&mut self, line: &[u8]) -> io::Result<bool> {
+        match std::str::from_utf8(line) {
+            Ok(line) => self.answer(line),
+            Err(_) => {
+                self.writer.flush()?;
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                ))
+            }
+        }
+    }
+
+    /// Answers one line, or queues it into the pending batch. Returns
+    /// `false` when the connection must close (its quota is spent).
+    fn answer(&mut self, line: &str) -> io::Result<bool> {
+        if line.trim().is_empty() {
+            return Ok(true);
+        }
+        let router = self.router;
+        let framing = v1::sniff(line);
+        self.seen += 1;
+        if let Some(limit) = router.cfg.max_requests_per_conn {
+            if self.seen > limit {
+                // The overflowing request is answered in-band (in
+                // its own framing) and the connection closes; the
+                // work already accepted still runs first.
+                let err = ProtoError::new(0, ErrorKind::QuotaExceeded { limit });
+                let encoded = match framing {
+                    v1::Framing::V0 => err.encode(),
+                    _ => err.encode_v1(),
+                };
+                self.respond(move || encoded)?;
+                return Ok(false);
+            }
+        }
+        match framing {
+            v1::Framing::Unsupported { token, offset } => {
+                OBS_PROTO_ERRORS.incr();
+                let err = ProtoError::new(0, ErrorKind::VersionMismatch { token, offset });
+                self.respond(|| err.encode_v1())?;
+            }
+            v1::Framing::V0 => match parse_request(line) {
+                Ok(Request::Search(req)) => {
+                    OBS_VERB_SEARCH.incr();
+                    self.pending.push((false, *req));
+                }
+                Ok(Request::Stats) => {
+                    OBS_VERB_STATS.incr();
+                    self.respond(|| router.stats_line_v0())?;
+                }
+                Ok(Request::Ping) => {
+                    OBS_VERB_PING.incr();
+                    self.respond(|| "pong".to_owned())?;
+                }
+                Err(err) => {
+                    OBS_PROTO_ERRORS.incr();
+                    self.respond(|| err.encode())?;
+                }
+            },
+            v1::Framing::V1 => match v1::decode_request(line) {
+                Ok(env) => {
+                    let id = env.request_id;
+                    let reply =
+                        |body: v1::ResponseBody| v1::encode_response(&v1::Envelope::v1(id, body));
+                    let or_error = |result: Result<v1::ResponseBody, ErrorKind>| {
+                        reply(result.unwrap_or_else(|kind| {
+                            v1::ResponseBody::Error(ProtoError::new(id, kind))
+                        }))
+                    };
+                    match env.body {
+                        v1::RequestBody::Search(req) => {
+                            OBS_VERB_SEARCH.incr();
+                            self.pending.push((true, req));
+                        }
+                        v1::RequestBody::Grid(req) => {
+                            OBS_VERB_GRID.incr();
+                            self.pending.push((true, req));
+                        }
+                        v1::RequestBody::Meta(req) => {
+                            OBS_VERB_META.incr();
+                            self.pending.push((true, req));
+                        }
+                        v1::RequestBody::Resume(req) => {
+                            OBS_VERB_RESUME.incr();
+                            self.pending.push((true, req));
+                        }
+                        v1::RequestBody::Stats => {
+                            OBS_VERB_STATS.incr();
+                            self.respond(|| reply(v1::ResponseBody::Stats(router.stats())))?;
+                        }
+                        v1::RequestBody::Ping => {
+                            OBS_VERB_PING.incr();
+                            self.respond(|| reply(v1::ResponseBody::Pong))?;
+                        }
+                        v1::RequestBody::ListTasks => {
+                            OBS_VERB_LIST_TASKS.incr();
+                            self.respond(|| reply(v1::ResponseBody::Tasks(router.tasks())))?;
+                        }
+                        v1::RequestBody::Metrics => {
+                            OBS_VERB_METRICS.incr();
+                            self.respond(|| reply(v1::ResponseBody::Metrics(hdx_obs::snapshot())))?;
+                        }
+                        v1::RequestBody::LoadBundle { path } => {
+                            OBS_VERB_LOAD_BUNDLE.incr();
+                            self.respond(|| {
+                                or_error(
+                                    router.load_bundle_ref(&path).map(v1::ResponseBody::Loaded),
+                                )
+                            })?;
+                        }
+                        v1::RequestBody::CatalogList => {
+                            OBS_VERB_CATALOG_LIST.incr();
+                            self.respond(|| {
+                                or_error(router.catalog_entries().map(v1::ResponseBody::Catalog))
+                            })?;
+                        }
+                        v1::RequestBody::CatalogPin { fingerprint, on } => {
+                            OBS_VERB_CATALOG_PIN.incr();
+                            self.respond(|| {
+                                or_error(
+                                    router
+                                        .with_catalog(|c| c.pin(fingerprint, on))
+                                        .map(|_| v1::ResponseBody::Pinned { fingerprint, on }),
+                                )
+                            })?;
+                        }
+                        v1::RequestBody::CatalogEvict { fingerprint } => {
+                            OBS_VERB_CATALOG_EVICT.incr();
+                            self.respond(|| {
+                                or_error(
+                                    router.with_catalog(|c| c.evict(fingerprint)).map(|freed| {
+                                        v1::ResponseBody::Evicted { fingerprint, freed }
+                                    }),
+                                )
+                            })?;
+                        }
+                        v1::RequestBody::UnloadBundle { task, bundle_seed } => {
+                            OBS_VERB_UNLOAD_BUNDLE.incr();
+                            self.respond(|| {
+                                or_error(if router.unload(task, bundle_seed) {
+                                    Ok(v1::ResponseBody::Unloaded { task, bundle_seed })
+                                } else {
+                                    Err(ErrorKind::TaskUnavailable {
+                                        task: task_label(task).to_owned(),
+                                        bundle_seed: Some(bundle_seed),
+                                    })
+                                })
+                            })?;
+                        }
+                    }
+                }
+                Err(err) => {
+                    OBS_PROTO_ERRORS.incr();
+                    self.respond(|| err.encode_v1())?;
+                }
+            },
+        }
+        Ok(true)
     }
 }
 

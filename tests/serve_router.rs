@@ -13,6 +13,11 @@
 //!   run (seeds 0–2, jobs ∈ {1, 2, 4}).
 //! * Trailing garbage after any complete request is a typed error
 //!   naming the offending byte offset (fuzz-style sweep).
+//! * Answers are coalesced: the answers to one read leave in one flush,
+//!   byte-identical to a line-at-a-time read, and a line-at-a-time TCP
+//!   client never waits on a withheld answer (split lines and `\r\n`
+//!   included). A non-UTF-8 line ends the connection only after the
+//!   earlier answers are flushed.
 
 use hdx_core::{prepare_context_with, PreparedContext, Task};
 use hdx_serve::v1;
@@ -911,4 +916,267 @@ fn per_verb_counters_pin_and_v0_stats_bytes_stay_frozen() {
     );
     assert_eq!(v0_line, expected, "v0 stats bytes must not grow fields");
     assert!(!v0_line.contains("task="), "v0 shim must not leak v1 rows");
+}
+
+/// A `Write` that records what it is handed: every byte, and how many
+/// flushes found new bytes since the previous flush.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    flushes: usize,
+    data_flushes: usize,
+    unflushed: bool,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.extend_from_slice(buf);
+        self.unflushed = true;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes += 1;
+        if std::mem::take(&mut self.unflushed) {
+            self.data_flushes += 1;
+        }
+        Ok(())
+    }
+}
+
+/// A reader that hands out one byte per read, so every line completes
+/// in a read of its own: the per-line path a line-at-a-time client
+/// drives.
+struct ByteAtATime<'a>(&'a [u8]);
+
+impl std::io::Read for ByteAtATime<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.0.len()).min(1);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+impl std::io::BufRead for ByteAtATime<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        Ok(&self.0[..self.0.len().min(1)])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.0 = &self.0[amt..];
+    }
+}
+
+/// `stats` bodies read process-wide counters that other tests move
+/// concurrently; keep only their kind and id.
+fn mask_stats(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|line| {
+            if line.starts_with("stats ") {
+                "stats *".to_owned()
+            } else if line.starts_with("hdx1 stats ") {
+                let head: Vec<&str> = line.splitn(4, ' ').take(3).collect();
+                format!("{} *", head.join(" "))
+            } else {
+                line.to_owned()
+            }
+        })
+        .collect()
+}
+
+/// A 64-line pipelined control window in the style of the benchmark's
+/// `control_plane` workload: pings in both framings, stats, listing,
+/// malformed lines, and searches that admission rejects.
+fn control_window() -> String {
+    let vocab = [
+        "hdx1 ping id={id}",
+        "ping",
+        "stats",
+        "hdx1 stats id={id}",
+        "hdx1 list_tasks id={id}",
+        "hdx1 search task=nosuch fps=30 id={id}",
+        "hdx2 ping id={id}",
+        "frobnicate id={id}",
+        "hdx1 ping extra=1 id={id}",
+        "search id={id} task=cifar fps=30 epochs=5 steps=5 final_train=200",
+        "hdx1 search id={id} task=cifar fps=30 epochs=2 steps=3 final_train=40",
+        "hdx1 meta id={id} task=imagenet fps=10 max_searches=2 epochs=1 steps=2 final_train=20",
+    ];
+    (0..64)
+        .map(|i| {
+            format!(
+                "{}\n",
+                vocab[(i * 5) % vocab.len()].replace("{id}", &i.to_string())
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn pipelined_window_is_answered_with_one_flush() {
+    // Every search in the window is over the deadline, so no engine
+    // work runs and the answers are the admission errors.
+    let router = dual_router(RouterConfig {
+        deadline_steps: Some(10),
+        ..RouterConfig::default()
+    });
+    let window = control_window();
+
+    let mut per_line = CountingWriter::default();
+    router
+        .serve_connection(ByteAtATime(window.as_bytes()), &mut per_line)
+        .expect("per-line serve");
+    let mut coalesced = CountingWriter::default();
+    router
+        .serve_connection(Cursor::new(window.clone()), &mut coalesced)
+        .expect("coalesced serve");
+
+    let text = String::from_utf8(coalesced.bytes).expect("utf-8");
+    assert_eq!(
+        mask_stats(&text),
+        mask_stats(&String::from_utf8(per_line.bytes).expect("utf-8")),
+        "read boundaries must not change a response byte"
+    );
+    // Every line answers; the searches answer when the next control
+    // line runs their batch.
+    assert_eq!(text.lines().count(), 64);
+    assert!(text.starts_with("hdx1 pong id=0\n"), "{text}");
+    assert!(
+        text.contains(
+            "\nhdx1 error id=2 code=deadline_exceeded \
+             msg=job_step_budget_46_exceeds_the_10-step_deadline\n"
+        ),
+        "{text}"
+    );
+    // One read holds the whole window, so one flush carries every
+    // answer and nothing is left unflushed; the per-line path needed a
+    // flush per answered line.
+    assert_eq!(coalesced.data_flushes, 1, "{} flushes", coalesced.flushes);
+    assert!(!coalesced.unflushed);
+    assert!(per_line.data_flushes > 40, "{}", per_line.data_flushes);
+
+    // The quota's overflow answer is written and flushed before the
+    // connection ends.
+    let router = dual_router(RouterConfig {
+        max_requests_per_conn: Some(3),
+        ..RouterConfig::default()
+    });
+    let mut out = CountingWriter::default();
+    router
+        .serve_connection(
+            Cursor::new("ping\nping\nhdx1 ping id=9\nhdx1 ping id=10\nping\n"),
+            &mut out,
+        )
+        .expect("serve");
+    assert!(!out.unflushed, "overflow answer left in the writer");
+    assert_eq!(out.data_flushes, 1);
+    assert_eq!(
+        String::from_utf8(out.bytes).expect("utf-8"),
+        "pong\npong\nhdx1 pong id=9\n\
+         hdx1 error id=0 code=quota_exceeded msg=connection_exceeded_its_3-request_quota\n"
+    );
+}
+
+/// A line-at-a-time TCP client: it sends, then waits for the answer.
+/// The read timeout turns an answer the server withholds into a
+/// failure instead of a hang.
+struct LineClient {
+    reader: std::io::BufReader<std::net::TcpStream>,
+    writer: std::net::TcpStream,
+}
+
+impl LineClient {
+    fn connect(addr: std::net::SocketAddr) -> LineClient {
+        let writer = std::net::TcpStream::connect(addr).expect("connect");
+        writer
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        let reader = std::io::BufReader::new(writer.try_clone().expect("clone"));
+        LineClient { reader, writer }
+    }
+
+    fn send(&mut self, bytes: &str) {
+        std::io::Write::write_all(&mut self.writer, bytes.as_bytes()).expect("send");
+    }
+
+    fn answer(&mut self) -> String {
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut self.reader, &mut line).expect("answer within 10 s");
+        assert!(line.ends_with('\n'), "connection closed early: {line:?}");
+        line
+    }
+}
+
+#[test]
+fn line_at_a_time_tcp_client_never_waits_on_a_withheld_answer() {
+    let router = Arc::new(dual_router(RouterConfig::default()));
+    let addr = hdx_workload::spawn_tcp_router(Arc::clone(&router)).expect("bind");
+    let mut client = LineClient::connect(addr);
+    let in_memory = |input: &str| serve_lines(&router, input);
+
+    client.send("ping\n");
+    assert_eq!(client.answer(), "pong\n");
+    client.send("hdx1 stats id=2\n");
+    assert!(client.answer().starts_with("hdx1 stats id=2 "));
+    let search = format!(
+        "hdx1 search {}\n",
+        quick(3, Task::Cifar, 0)
+            .encode()
+            .strip_prefix("search ")
+            .expect("search prefix")
+    );
+    client.send(&search);
+    client.send("hdx1 ping id=4\n");
+    let expected = in_memory(&format!("{search}hdx1 ping id=4\n"));
+    assert_eq!(client.answer(), format!("{}\n", expected[0]));
+    assert_eq!(client.answer(), "hdx1 pong id=4\n");
+    client.send("frobnicate id=5\n");
+    assert_eq!(
+        client.answer(),
+        format!("{}\n", in_memory("frobnicate id=5\n")[0])
+    );
+
+    // A request split across two sends: the first send's complete line
+    // is answered, which proves the server has read the partial tail
+    // with it; the tail carries over and completes on the next read.
+    client.send("hdx1 ping id=6\nhdx1 pi");
+    assert_eq!(client.answer(), "hdx1 pong id=6\n");
+    client.send("ng id=7\n");
+    assert_eq!(client.answer(), "hdx1 pong id=7\n");
+
+    // `\r\n` ends a line exactly as `\n` does.
+    client.send("hdx1 ping id=8\r\n");
+    assert_eq!(client.answer(), "hdx1 pong id=8\n");
+    client.send("ping\r\n");
+    assert_eq!(client.answer(), "pong\n");
+
+    // An unterminated last line is answered at EOF, then the
+    // connection closes.
+    client.send("hdx1 ping id=9");
+    client
+        .writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("shutdown");
+    assert_eq!(client.answer(), "hdx1 pong id=9\n");
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut client.reader, &mut rest).expect("EOF");
+    assert_eq!(rest, "");
+}
+
+#[test]
+fn invalid_utf8_ends_the_connection_after_earlier_answers() {
+    let router = dual_router(RouterConfig::default());
+    let mut input = b"ping\nhdx1 ping id=2\n".to_vec();
+    input.extend_from_slice(b"hdx1 ping id=\xff\xfe\nping\n");
+    let mut out = CountingWriter::default();
+    let err = router
+        .serve_connection(Cursor::new(input), &mut out)
+        .expect_err("invalid UTF-8 ends the connection");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(!out.unflushed, "earlier answers left in the writer");
+    assert_eq!(
+        String::from_utf8(out.bytes).expect("utf-8"),
+        "pong\nhdx1 pong id=2\n"
+    );
 }
